@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+import calibrate
 import inputs
 import oracle
 from metrics import END_TO_END, SIM_LABELS, SIM_NODES, SPANS, per_layer
@@ -124,9 +125,13 @@ def _python(args: list[str], timeout: float) -> str:
     return proc.stdout
 
 
-def import_samples(src: Path) -> list[float]:
-    return [json.loads(_python(["--import-only", str(src)], 60))["import_s"]
-            for _ in range(IMPORT_PROBES)]
+def import_samples(src: Path) -> tuple[list[float], list[float]]:
+    """Import times of fresh processes, and calibration kernel timings between them."""
+    imports, ref_s = [], []
+    for _ in range(IMPORT_PROBES):
+        imports.append(json.loads(_python(["--import-only", str(src)], 60))["import_s"])
+        ref_s += calibrate.samples(1)
+    return imports, ref_s
 
 
 def run_worker(spec: dict, work: Path, trace: bool) -> dict:
@@ -200,7 +205,14 @@ def check_store(data: dict, result: dict) -> tuple[int, int, list[str]]:
 
 # -- metrics ----------------------------------------------------------------------
 
-def end_to_end(workload: str, data: dict, result: dict, imports: list[float]) -> dict:
+def host_scale(result: dict, probe_ref_s: list[float]) -> float:
+    """Host-to-reference seconds factor from every kernel timing of the run."""
+    return calibrate.scale(probe_ref_s + result["setup"].get("ref_s", []) + result["ref_s"])
+
+
+def end_to_end(workload: str, data: dict, result: dict, imports: list[float],
+               scale: float = 1.0) -> dict:
+    """End-to-end metrics; every duration is multiplied by *scale*."""
     setup = result["setup"]
     setup_s = statistics.median(imports + [setup["import_s"]])
     if workload == "store-mixed":
@@ -211,9 +223,10 @@ def end_to_end(workload: str, data: dict, result: dict, imports: list[float]) ->
         if workload == "sim-scaling":
             per_op *= len(SIM_LABELS) * len(SIM_NODES)
         rate = statistics.median(per_op / s for s in result["op_s"])
-    op_ms = np.asarray(result["op_s"]) * 1e3
-    return {"setup_s": setup_s, "kmers_per_s": rate, "op_p50_ms": pct(op_ms, 50),
-            "op_p99_ms": pct(op_ms, 99), "peak_rss_mb": result["peak_rss_mb"]}
+    op_ms = np.asarray(result["op_s"]) * 1e3 * scale
+    return {"setup_s": setup_s * scale, "kmers_per_s": rate / scale,
+            "op_p50_ms": pct(op_ms, 50), "op_p99_ms": pct(op_ms, 99),
+            "peak_rss_mb": result["peak_rss_mb"]}
 
 
 def layer_metrics(workload: str, traced: dict, plain: dict) -> dict:
@@ -280,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         data = make_inputs(args.workload, args.seed, args.seconds, work)
         spec = dict(data["spec"], workload=args.workload, seconds=args.seconds,
                     src=str(src))
-        imports = import_samples(src)
+        imports, probe_ref_s = import_samples(src)
         # A batch workload alternates traced and untraced units in one
         # worker; the open-loop store workload replays its schedule twice.
         traced = None
@@ -302,10 +315,18 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass
 
-    e2e = end_to_end(args.workload, data, plain, imports)
+    scale = host_scale(plain, probe_ref_s)
+    e2e = end_to_end(args.workload, data, plain, imports, scale)
+    host = end_to_end(args.workload, data, plain, imports)
     extra = [f"attempted {attempted}, failed {failed}, "
              f"failed_frac {failed / max(1, attempted):.6g}",
-             f"op samples {len(plain['op_s'])}"]
+             f"op samples {len(plain['op_s'])}",
+             f"host-to-reference scale {scale:.4f} "
+             f"(calibration kernel median {calibrate.REFERENCE_S / scale * 1e3:.3f} ms "
+             f"over {len(probe_ref_s) + len(plain['setup'].get('ref_s', [])) + len(plain['ref_s'])})",
+             "on the host clock: " + ", ".join(
+                 f"{n} {host[n]:.6g}" for n in ("setup_s", "kmers_per_s", "op_p50_ms",
+                                                "op_p99_ms"))]
     if args.workload == "store-mixed":
         late = np.asarray(plain["lateness_s"]) * 1e3
         extra += [f"ingest_p99_ms {pct(plain['ingest_latency_s'], 99) * 1e3:.6g} "

@@ -20,6 +20,7 @@ BENCH = Path(__file__).resolve().parents[1]
 ROOT = BENCH.parent
 sys.path.insert(0, str(BENCH))
 
+import calibrate  # noqa: E402
 import inputs  # noqa: E402
 import metrics  # noqa: E402
 import oracle  # noqa: E402
@@ -183,6 +184,32 @@ def test_traced_program_output_equals_untraced(tmp_path):
     assert oracle.digest(traced.kmers, traced.counts) == oracle.digest(*oracle.count(reads))
     after = {s.target: Tracer([])._resolve(s.target) for s in worker.SITES}
     assert all(before[t][2] is after[t][2] for t in before)
+
+
+# -- calibration ----------------------------------------------------------------------
+
+def test_calibration_kernel_is_fixed_and_scales_to_reference():
+    import run
+
+    fixed = np.random.default_rng(20_250_701).integers(0, 4, size=(1_000, 150),
+                                                       dtype=np.uint8)
+    assert np.array_equal(calibrate._READS, fixed)
+    assert calibrate.kernel() == oracle.count(fixed)[0].size
+    assert len(calibrate.samples(3)) == 3 and min(calibrate.samples(3)) > 0
+    ref = calibrate.REFERENCE_S
+    assert calibrate.scale([ref, ref * 2, ref / 2]) == pytest.approx(1.0)
+    assert calibrate.scale([ref * 2] * 3) == pytest.approx(0.5)
+    result = {"setup": {"import_s": 0.2}, "op_s": [1.0, 2.0, 3.0], "peak_rss_mb": 50.0,
+              "ref_s": [ref * 2] * 5}
+    reads = np.zeros((10, 150), dtype=np.uint8)
+    host = run.end_to_end("ooc-spill", {"reads": reads}, result, [0.2])
+    scaled = run.end_to_end("ooc-spill", {"reads": reads}, result, [0.2],
+                            run.host_scale(result, [ref * 2]))
+    assert scaled["op_p50_ms"] == pytest.approx(host["op_p50_ms"] / 2)
+    assert scaled["op_p99_ms"] == pytest.approx(host["op_p99_ms"] / 2)
+    assert scaled["setup_s"] == pytest.approx(host["setup_s"] / 2)
+    assert scaled["kmers_per_s"] == pytest.approx(host["kmers_per_s"] * 2)
+    assert scaled["peak_rss_mb"] == host["peak_rss_mb"]
 
 
 # -- metric names ---------------------------------------------------------------------

@@ -27,11 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
+import calibrate
 from metrics import SIM_LABELS, SIM_NODES
 from oracle import K, digest
 from tracer import Site, Tracer
 
 clock = time.perf_counter
+
+CALIBRATE_PER_STEP = 2       # timed calibration kernels before each step of a batch unit
+CALIBRATE_RATE = 2.0         # timed calibration kernels per second on the store's event loop
 
 #: Everything a workload touches; importing these is the program's start-up.
 PROGRAM_MODULES = ("repro", "repro.api", "repro.apps.streaming", "repro.apps.store",
@@ -109,23 +113,29 @@ SITES = [
 
 # -- workloads ------------------------------------------------------------------
 
-def repeat(seconds: float, tracer: Tracer | None, unit) -> dict:
-    """Time *unit* again and again until *seconds* have passed.
+def repeat(seconds: float, tracer: Tracer | None, steps: list) -> dict:
+    """Time a unit of work again and again until *seconds* have passed.
 
-    *unit* runs one unit of work and returns ``[(counts, extra), ...]``;
-    digests of the counts are taken outside the timed region.  With a
-    tracer, every second unit runs traced, so traced and untraced units
-    see the same host conditions and their ratio is the trace overhead.
+    A unit is the list *steps*, run in order; each step is a call into the
+    program that returns ``[(counts, extra), ...]``.  The unit's time is the
+    sum of its steps' times.  Before every step the calibration kernel
+    runs, untimed and untraced, so its samples are spread over the unit.
+    Digests of the counts are taken outside the timed region.  With a
+    tracer, every second unit runs traced, so traced and untraced units see
+    the same host conditions and their ratio is the trace overhead.
     """
-    out = {"op_s": [], "traced_op_s": [], "digests": [], "extras": []}
+    out = {"op_s": [], "traced_op_s": [], "digests": [], "extras": [], "ref_s": []}
     deadline = clock() + seconds
     i = 0
     while True:
         traced = tracer is not None and i % 2 == 1
-        with tracer if traced else contextlib.nullcontext():
-            t = clock()
-            results = unit()
-            dt = clock() - t
+        dt, results = 0.0, []
+        for step in steps:
+            out["ref_s"] += calibrate.samples(CALIBRATE_PER_STEP)
+            with tracer if traced else contextlib.nullcontext():
+                t = clock()
+                results += step()
+                dt += clock() - t
         out["traced_op_s" if traced else "op_s"].append(dt)
         out["digests"] += [digest(c.kmers, c.counts) for c, _x in results]
         out["extras"].append([x for _c, x in results])
@@ -138,14 +148,18 @@ def count_file(spec: dict, seconds: float, tracer: Tracer | None) -> dict:
     streaming = importlib.import_module("repro.apps.streaming")
     store = importlib.import_module("repro.apps.store")
     saved = Path(spec["dir"]) / "counts.npz"
+    last = {}
 
-    def unit():
-        counts = streaming.count_file_streaming(
+    def count():
+        last["counts"] = streaming.count_file_streaming(
             spec["fastq"], K, batch_records=spec["batch_records"])
-        store.save_counts(saved, counts)
-        return [(counts, None)]
+        return [(last["counts"], None)]
 
-    out = repeat(seconds, tracer, unit)
+    def save():
+        store.save_counts(saved, last["counts"])
+        return []
+
+    out = repeat(seconds, tracer, [count, save])
     del out["extras"]
     return dict(out, saved=str(saved))
 
@@ -155,14 +169,14 @@ def ooc_spill(spec: dict, seconds: float, tracer: Tracer | None) -> dict:
     reads = np.load(spec["reads"])
     bins = Path(spec["dir"]) / "bins"
 
-    def unit():
+    def count():
         stats = ooc.OocStats()
         counts = ooc.ooc_count(reads, K, n_bins=spec["n_bins"],
                                memory_bytes=spec["memory_bytes"], workdir=bins, stats=stats)
         shutil.rmtree(bins)
         return [(counts, stats)]
 
-    out = repeat(seconds, tracer, unit)
+    out = repeat(seconds, tracer, [count])
     stats = out.pop("extras")[-1][0]
     out["layer"] = {"ooc.chunks_per_bin": stats.n_flushes / max(1, stats.n_bins_used),
                     "ooc.flushes": stats.n_flushes,
@@ -171,19 +185,19 @@ def ooc_spill(spec: dict, seconds: float, tracer: Tracer | None) -> dict:
 
 
 def sim_scaling(spec: dict, seconds: float, tracer: Tracer | None) -> dict:
+    """One unit is a sweep: every algorithm at every node count, 9 steps."""
     api = importlib.import_module("repro.api")
     reads = np.load(spec["reads"])
 
-    def unit():
-        out = []
-        for algorithm in SIM_LABELS:
-            for nodes in SIM_NODES:
-                run = api.count_kmers(reads, K, algorithm=algorithm, nodes=nodes)
-                out.append((run.counts, [algorithm, nodes, run.stats.sim_time,
-                                         run.stats.total_bytes_sent]))
-        return out
+    def point(algorithm: str, nodes: int):
+        def step():
+            run = api.count_kmers(reads, K, algorithm=algorithm, nodes=nodes)
+            return [(run.counts, [algorithm, nodes, run.stats.sim_time,
+                                  run.stats.total_bytes_sent])]
+        return step
 
-    out = repeat(seconds, tracer, unit)
+    out = repeat(seconds, tracer,
+                 [point(algorithm, nodes) for algorithm in SIM_LABELS for nodes in SIM_NODES])
     out["sim"] = out.pop("extras")
     return out
 
@@ -193,20 +207,25 @@ def _open_store(spec: dict, path: Path):
     return lsm.LsmStore(path, K, config=lsm.LsmConfig(**spec["lsm_config"]))
 
 
-def preload_store(spec: dict) -> tuple[object, list[float]]:
-    """Load the base half into fresh stores several times; keep the last open."""
+def preload_store(spec: dict) -> tuple[object, list[float], list[float]]:
+    """Load the base half into fresh stores several times; keep the last open.
+
+    Returns the open store, the seconds of each load and the calibration
+    kernel timings taken between loads.
+    """
     base = np.load(spec["preload"])
     step = spec["preload_batch"]
-    samples, store = [], None
+    samples, store, ref_s = [], None, []
     for i in range(spec["setup_repeats"]):
         if store is not None:
             store.close()
+        ref_s += calibrate.samples(CALIBRATE_PER_STEP)
         t = clock()
         store = _open_store(spec, Path(spec["dir"]) / f"store-{i}")
         for lo in range(0, base.shape[0], step):
             store.ingest(base[lo:lo + step])
         samples.append(clock() - t)
-    return store, samples
+    return store, samples, ref_s
 
 
 async def store_mixed(spec: dict, store, tracer: Tracer | None) -> dict:
@@ -214,6 +233,8 @@ async def store_mixed(spec: dict, store, tracer: Tracer | None) -> dict:
 
     The schedule (batches and keys at fixed rates) was sized by ``run.py``
     to last the run's seconds; a traced run replays it whole under the tracer.
+    A third stream runs the calibration kernel at a fixed rate on the same
+    loop, so it sees the host conditions of the schedule.
     """
     serve = importlib.import_module("repro.serve")
     batches = np.load(spec["ingest"]).reshape(-1, spec["ingest_batch"], spec["read_len"])
@@ -226,7 +247,7 @@ async def store_mixed(spec: dict, store, tracer: Tracer | None) -> dict:
     lookup = {name: np.zeros(keys.size, dtype=dtype) for name, dtype in (
         ("answer", np.int64), ("issued_at", np.int64), ("done_at", np.int64),
         ("latency", np.float64), ("status", np.int8))}   # status: 0 ok, 1 refused, 2 error
-    lateness, errors = [], []
+    lateness, errors, ref_s = [], [], []
     tasks = set()
     rejected = 0
 
@@ -254,6 +275,12 @@ async def store_mixed(spec: dict, store, tracer: Tracer | None) -> dict:
             acked += 1
             ingest_lat.append(loop.time() - (t0 + due))
 
+    async def calibrate_stream(t0: float) -> None:
+        end = max(ingest_due[-1], lookup_due[-1])
+        for due in np.arange(0.5 / CALIBRATE_RATE, end, 1 / CALIBRATE_RATE):
+            await asyncio.sleep(max(0.0, t0 + due - loop.time()))
+            ref_s.extend(calibrate.samples(1))
+
     async def lookup_stream(t0: float) -> None:
         for i, due in enumerate(lookup_due):
             await asyncio.sleep(max(0.0, t0 + due - loop.time()))
@@ -272,7 +299,7 @@ async def store_mixed(spec: dict, store, tracer: Tracer | None) -> dict:
         engine_s = clock() - t
         cpu = time.process_time()
         t0 = loop.time() + 0.01
-        await asyncio.gather(ingest_stream(t0), lookup_stream(t0))
+        await asyncio.gather(ingest_stream(t0), lookup_stream(t0), calibrate_stream(t0))
         while tasks:
             await asyncio.gather(*list(tasks))
         cpu = time.process_time() - cpu
@@ -282,6 +309,7 @@ async def store_mixed(spec: dict, store, tracer: Tracer | None) -> dict:
     out = {"op_s": lookup["latency"].tolist(), "cpu_s": cpu, "units": 1,
            "engine_s": engine_s, "ingest_s": ingest_s, "ingest_latency_s": ingest_lat,
            "lateness_s": lateness, "rejected": rejected, "errors": errors[:5],
+           "ref_s": ref_s,
            "peak_rss_mb": peak_rss_mb,
            "lookups": {name: arr.tolist() for name, arr in lookup.items()},
            "digests": [digest(snap.kmers, snap.counts)],
@@ -319,7 +347,7 @@ def main(argv: list[str]) -> int:
     tracer = Tracer(SITES) if spec["trace"] else None
     workload = spec["workload"]
     if workload == "store-mixed":
-        store, setup["preload_s"] = preload_store(spec)
+        store, setup["preload_s"], setup["ref_s"] = preload_store(spec)
         result = asyncio.run(store_mixed(spec, store, tracer))
         setup["engine_s"] = result.pop("engine_s")
     else:
